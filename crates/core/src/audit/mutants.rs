@@ -149,7 +149,7 @@ fn overtaking_mutant_trips_fcfs_overtaking() {
         queue: std::collections::VecDeque::new(),
         rule: PlacementRule::WorstFit,
     });
-    SimBuilder::new(&cfg).scheduler(policy).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+    SimBuilder::new(&cfg).scheduler(policy).feed(&mut feed, f64::NAN).run_observed(&mut auditor);
     assert!(
         auditor.has(ViolationKind::FcfsOvertaking),
         "expected FcfsOvertaking, got: {}",
@@ -175,7 +175,7 @@ fn overtaking_is_by_design_for_gb() {
         queue: std::collections::VecDeque::new(),
         rule: PlacementRule::WorstFit,
     });
-    SimBuilder::new(&cfg).scheduler(policy).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+    SimBuilder::new(&cfg).scheduler(policy).feed(&mut feed, f64::NAN).run_observed(&mut auditor);
     auditor.assert_clean();
 }
 
@@ -193,7 +193,7 @@ fn best_fit_mutant_trips_placement_rule_violation() {
     let mut feed = VecFeed::new(&[(0.0, &[16], 1000.0), (1.0, &[8], 1000.0)]);
     let mut auditor = InvariantAuditor::new(&cfg);
     let policy = Box::new(GlobalScheduler::new(PlacementRule::BestFit));
-    SimBuilder::new(&cfg).scheduler(policy).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+    SimBuilder::new(&cfg).scheduler(policy).feed(&mut feed, f64::NAN).run_observed(&mut auditor);
     assert!(
         auditor.has(ViolationKind::PlacementRuleViolation),
         "expected PlacementRuleViolation, got: {}",
@@ -220,7 +220,8 @@ fn double_extension_mutant_trips_extension_mismatch() {
     SimBuilder::new(&cfg)
         .scheduler(policy)
         .occupancy(OccupancyModel::DoubleExtension)
-        .run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+        .feed(&mut feed, f64::NAN)
+        .run_observed(&mut auditor);
     assert!(
         auditor.has(ViolationKind::ExtensionMismatch),
         "expected ExtensionMismatch, got: {}",
@@ -241,7 +242,8 @@ fn double_extension_is_invisible_on_single_component_jobs() {
     SimBuilder::new(&cfg)
         .scheduler(policy)
         .occupancy(OccupancyModel::DoubleExtension)
-        .run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+        .feed(&mut feed, f64::NAN)
+        .run_observed(&mut auditor);
     auditor.assert_clean();
 }
 

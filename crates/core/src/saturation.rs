@@ -15,6 +15,7 @@
 use coalloc_workload::{QueueRouting, Workload};
 use desim::{RngStream, SimTime, Simulation};
 
+use crate::experiment::{CancelReason, CancelToken, WorkerPool};
 use crate::job::{ActiveJob, JobId, JobTable};
 use crate::placement::PlacementRule;
 use crate::policy::{PolicyKind, Scheduler};
@@ -181,36 +182,27 @@ pub fn maximal_utilization(cfg: &SaturationConfig) -> SaturationResult {
 }
 
 /// Replication plan for the open-system probes of
-/// [`bisect_max_utilization_replicated`]: each probe utilization is
-/// classified by a majority vote over `replications` independent runs,
-/// executed on the sweep engine's worker pool. Replication seeds are
-/// derived from each probe config's own seed via
-/// [`crate::experiment::replication_seed`], so every probe utilization
-/// sees common random numbers.
+/// [`bisect_max_utilization`]: each probe utilization is classified by
+/// a majority vote over `replications` independent runs, executed on
+/// the caller's worker pool. Replication seeds are derived from each
+/// probe config's own seed via [`crate::experiment::replication_seed`],
+/// so every probe utilization sees common random numbers.
 #[derive(Clone, Copy, Debug)]
 pub struct ProbePlan {
     /// Independent runs per probe (majority vote decides saturation).
     pub replications: u64,
-    /// Worker threads for the probe batch; 0 = one per core.
-    pub threads: usize,
-}
-
-impl Default for ProbePlan {
-    fn default() -> Self {
-        ProbePlan { replications: 3, threads: 0 }
-    }
 }
 
 impl ProbePlan {
     /// One probe under a cooperative token: `Err` as soon as the token
     /// fires (tasks already running finish; the vote is abandoned).
-    fn saturated_cancellable<F>(
+    fn saturated<F>(
         &self,
-        pool: &crate::experiment::WorkerPool,
+        pool: &WorkerPool,
         make_cfg: &F,
         util: f64,
-        cancel: Option<&crate::experiment::CancelToken>,
-    ) -> Result<bool, crate::experiment::CancelReason>
+        cancel: Option<&CancelToken>,
+    ) -> Result<bool, CancelReason>
     where
         F: Fn(f64) -> crate::sim::SimConfig,
     {
@@ -230,8 +222,8 @@ impl ProbePlan {
                     .push(result.unwrap_or_else(|cause| panic!("replication panicked: {cause}"))),
                 None => {
                     return Err(cancel
-                        .and_then(crate::experiment::CancelToken::state)
-                        .unwrap_or(crate::experiment::CancelReason::Cancelled))
+                        .and_then(CancelToken::state)
+                        .unwrap_or(CancelReason::Cancelled))
                 }
             }
         }
@@ -244,89 +236,39 @@ impl ProbePlan {
 /// open-system runs: the paper's constant-backlog method is only valid
 /// for single-global-queue policies (GS, SC), while this search works
 /// for LS and LP too — the backlog at the end of the arrival process
-/// tells stable from unstable. Single-replication probes on each probe
-/// config's own seed; see [`bisect_max_utilization_replicated`] for the
-/// majority-vote variant.
-pub fn bisect_max_utilization<F>(make_cfg: F, lo: f64, hi: f64, tolerance: f64) -> f64
-where
-    F: Fn(f64) -> crate::sim::SimConfig,
-{
-    bisect_max_utilization_replicated(
-        make_cfg,
-        lo,
-        hi,
-        tolerance,
-        &ProbePlan { replications: 1, threads: 0 },
-    )
-}
-
-/// [`bisect_max_utilization`] with replicated probes: each utilization
-/// is classified by a majority vote over `plan.replications` runs on
-/// substream-derived seeds, so one unlucky seed near the threshold
-/// cannot flip a bracket. The search narrows `[lo, hi]` until
-/// `hi - lo <= tolerance` and returns the last stable utilization found.
+/// tells stable from unstable.
+///
+/// Each probe utilization is classified by a majority vote over
+/// `plan.replications` runs on substream-derived seeds, executed on
+/// `pool`, so one unlucky seed near the threshold cannot flip a
+/// bracket. The search narrows `[lo, hi]` until `hi - lo <= tolerance`
+/// (or until no double lies strictly between them, so a tolerance
+/// below the spacing of doubles still terminates) and returns the last
+/// stable utilization found.
+///
+/// `cancel`, when given, is checked between probes (and between a
+/// probe's replications, inside the pool): once it fires the search
+/// returns `Err(CancelReason)` instead of a boundary. A later
+/// uncancelled search re-probes from scratch and lands on the same
+/// deterministic answer.
 ///
 /// # Panics
-/// Panics when `[lo, hi]` does not bracket the saturation threshold:
-/// `lo` must be stable and `hi` saturated. Both ends are checked
-/// unconditionally (also in release builds) — an unchecked bracket
-/// silently converges to the nearest bound and reports it as the
-/// saturation point, which is a wrong *number*, not a crash.
-pub fn bisect_max_utilization_replicated<F>(
-    make_cfg: F,
-    lo: f64,
-    hi: f64,
-    tolerance: f64,
-    plan: &ProbePlan,
-) -> f64
-where
-    F: Fn(f64) -> crate::sim::SimConfig,
-{
-    // One pool serves every probe of the whole search.
-    let pool = crate::experiment::WorkerPool::new(plan.threads);
-    bisect_max_utilization_on(&pool, make_cfg, lo, hi, tolerance, plan)
-}
-
-/// [`bisect_max_utilization_replicated`] on an existing
-/// [`crate::experiment::WorkerPool`]
-/// — the entry point `coalloc-exp serve` uses so concurrent saturation
-/// searches and sweeps share one set of workers.
-///
-/// # Panics
-/// Same bracket requirements as [`bisect_max_utilization_replicated`].
-pub fn bisect_max_utilization_on<F>(
-    pool: &crate::experiment::WorkerPool,
-    make_cfg: F,
-    lo: f64,
-    hi: f64,
-    tolerance: f64,
-    plan: &ProbePlan,
-) -> f64
-where
-    F: Fn(f64) -> crate::sim::SimConfig,
-{
-    bisect_max_utilization_cancellable_on(pool, make_cfg, lo, hi, tolerance, plan, None)
-        .expect("searches without a token never cancel")
-}
-
-/// [`bisect_max_utilization_on`] under a cooperative
-/// [`crate::experiment::CancelToken`], checked between probes (and
-/// between a probe's replications, inside the pool): once the token
-/// fires the search returns `Err(CancelReason)` instead of a boundary.
-/// A later uncancelled search re-probes from scratch and lands on the
-/// same deterministic answer.
-///
-/// # Panics
-/// Same bracket requirements as [`bisect_max_utilization_replicated`].
-pub fn bisect_max_utilization_cancellable_on<F>(
-    pool: &crate::experiment::WorkerPool,
+/// Panics unless `0 < lo < hi <= 2`, `tolerance > 0` and
+/// `plan.replications > 0`, and when `[lo, hi]` does not bracket the
+/// saturation threshold: `lo` must be stable and `hi` saturated. Both
+/// ends are checked unconditionally (also in release builds) — an
+/// unchecked bracket silently converges to the nearest bound and
+/// reports it as the saturation point, which is a wrong *number*, not a
+/// crash.
+pub fn bisect_max_utilization<F>(
+    pool: &WorkerPool,
     make_cfg: F,
     mut lo: f64,
     mut hi: f64,
     tolerance: f64,
     plan: &ProbePlan,
-    cancel: Option<&crate::experiment::CancelToken>,
-) -> Result<f64, crate::experiment::CancelReason>
+    cancel: Option<&CancelToken>,
+) -> Result<f64, CancelReason>
 where
     F: Fn(f64) -> crate::sim::SimConfig,
 {
@@ -336,16 +278,21 @@ where
     // price of a trustworthy answer; a debug_assert! would vanish in
     // release builds, where all real searches run.
     assert!(
-        !plan.saturated_cancellable(pool, &make_cfg, lo, cancel)?,
+        !plan.saturated(pool, &make_cfg, lo, cancel)?,
         "bisection bracket invalid: lo = {lo} is already saturated; lower lo"
     );
     assert!(
-        plan.saturated_cancellable(pool, &make_cfg, hi, cancel)?,
+        plan.saturated(pool, &make_cfg, hi, cancel)?,
         "bisection bracket invalid: hi = {hi} is still stable; the saturation point lies above hi"
     );
     while hi - lo > tolerance {
         let mid = 0.5 * (lo + hi);
-        if plan.saturated_cancellable(pool, &make_cfg, mid, cancel)? {
+        // Adjacent doubles: the midpoint rounds onto a bound and the
+        // bracket can narrow no further.
+        if !(lo < mid && mid < hi) {
+            break;
+        }
+        if plan.saturated(pool, &make_cfg, mid, cancel)? {
             hi = mid;
         } else {
             lo = mid;
@@ -397,6 +344,20 @@ mod tests {
         assert!((r.max_net_utilization - r.max_gross_utilization).abs() < 1e-9);
     }
 
+    /// An uncancelled search on a fresh pool.
+    fn search<F: Fn(f64) -> crate::sim::SimConfig>(
+        make_cfg: F,
+        lo: f64,
+        hi: f64,
+        tolerance: f64,
+        replications: u64,
+    ) -> f64 {
+        let pool = WorkerPool::new(2);
+        let plan = ProbePlan { replications };
+        bisect_max_utilization(&pool, make_cfg, lo, hi, tolerance, &plan, None)
+            .expect("searches without a token never cancel")
+    }
+
     #[test]
     fn bisection_matches_constant_backlog_for_gs() {
         // The two methods estimate the same quantity for GS.
@@ -405,7 +366,7 @@ mod tests {
             cfg.measured_departures = 10_000;
             maximal_utilization(&cfg).max_gross_utilization
         };
-        let bisect = bisect_max_utilization(
+        let bisect = search(
             |util| {
                 let mut cfg = crate::sim::SimConfig::das(PolicyKind::Gs, 16, util);
                 cfg.total_jobs = 12_000;
@@ -415,6 +376,7 @@ mod tests {
             0.3,
             1.0,
             0.02,
+            1,
         );
         assert!(
             (bisect - backlog).abs() < 0.06,
@@ -435,7 +397,7 @@ mod tests {
     fn bisection_rejects_a_stable_hi() {
         // Both ends stable: the old code silently converged to ~hi and
         // reported a bound, not a measurement. Now it panics.
-        bisect_max_utilization(tiny_cfg, 0.05, 0.2, 0.05);
+        search(tiny_cfg, 0.05, 0.2, 0.05, 1);
     }
 
     #[test]
@@ -443,7 +405,24 @@ mod tests {
     fn bisection_rejects_a_saturated_lo() {
         // Checked unconditionally — the old debug_assert! (with a
         // different message) vanished entirely in release builds.
-        bisect_max_utilization(tiny_cfg, 1.5, 1.8, 0.05);
+        search(tiny_cfg, 1.5, 1.8, 0.05, 1);
+    }
+
+    #[test]
+    fn a_tolerance_below_double_spacing_still_terminates() {
+        // Once lo and hi are adjacent doubles the midpoint rounds onto
+        // one of them and `hi - lo > 1e-300` never becomes false; the
+        // search must stop there instead of probing forever. About 55
+        // probes reach adjacency from [0.3, 1.2]; the cap turns a
+        // runaway search into a failure instead of a hang.
+        let calls = std::cell::Cell::new(0u32);
+        let capped = |util: f64| {
+            calls.set(calls.get() + 1);
+            assert!(calls.get() <= 200, "bisection still probing after 200 configs");
+            tiny_cfg(util)
+        };
+        let r = search(capped, 0.3, 1.2, 1e-300, 1);
+        assert!((0.3..1.2).contains(&r), "threshold estimate {r}");
     }
 
     #[test]
@@ -454,11 +433,10 @@ mod tests {
             cfg.warmup_jobs = 300;
             cfg
         };
-        let plan = ProbePlan { replications: 3, threads: 0 };
-        let r = bisect_max_utilization_replicated(make, 0.3, 1.2, 0.1, &plan);
+        let r = search(make, 0.3, 1.2, 0.1, 3);
         assert!((0.4..1.0).contains(&r), "threshold estimate {r}");
         // Deterministic: the vote and bisection depend only on seeds.
-        let again = bisect_max_utilization_replicated(make, 0.3, 1.2, 0.1, &plan);
+        let again = search(make, 0.3, 1.2, 0.1, 3);
         assert_eq!(r, again);
     }
 

@@ -2,9 +2,7 @@
 //!
 //! [`SimBuilder`] is the single front door: it resolves the warm-up
 //! lifecycle, builds the feed and the scheduler, and hands a fully
-//! wired [`Session`] its event loop. The legacy `run*` free functions
-//! are thin deprecated shims over it (see the module docs of
-//! [`crate::sim`]).
+//! wired [`Session`] its event loop.
 
 use coalloc_workload::{JobDisposition, JobRequest, JobSpec, RequestKind};
 use desim::{
@@ -104,17 +102,19 @@ struct NetState {
 
 /// Builds and runs simulation [`Session`]s from a [`SimConfig`].
 ///
-/// The builder owns the run's two optional knobs — an explicitly
-/// supplied scheduler (bypassing [`crate::policy::PolicyKind::build`];
-/// the seam the mutation tests use) and a non-faithful
-/// [`OccupancyModel`] — and offers one `run*` method per feed kind:
+/// The builder owns the run's optional knobs — an explicitly supplied
+/// scheduler (bypassing [`crate::policy::PolicyKind::build`]; the seam
+/// the mutation tests use), a non-faithful [`OccupancyModel`], and the
+/// job source — and runs through exactly two methods,
+/// [`SimBuilder::run`] and [`SimBuilder::run_observed`]. The source is
+/// one of:
 ///
-/// * [`SimBuilder::run`] / [`SimBuilder::run_observed`] — stochastic
-///   feed sampled from the config's workload;
-/// * [`SimBuilder::run_trace`] / [`SimBuilder::run_trace_observed`] —
-///   trace replay;
-/// * [`SimBuilder::run_feed`] / [`SimBuilder::run_feed_observed`] — any
-///   caller-supplied [`JobFeed`].
+/// * the stochastic feed sampled from the config's workload (the
+///   default);
+/// * trace replay, set with [`SimBuilder::trace`];
+/// * any caller-supplied [`JobFeed`], set with [`SimBuilder::feed`].
+///
+/// A builder holds one source: setting another replaces it.
 ///
 /// ```
 /// use coalloc_core::{PolicyKind, SimBuilder, SimConfig};
@@ -128,6 +128,17 @@ pub struct SimBuilder<'a> {
     cfg: &'a SimConfig,
     model: OccupancyModel,
     scheduler: Option<Box<dyn Scheduler>>,
+    source: Source<'a>,
+}
+
+/// Where a [`SimBuilder`]'s jobs come from.
+enum Source<'a> {
+    /// Sampled from the config's workload and arrival process.
+    Stochastic,
+    /// Replayed from a trace, submit times scaled by `time_scale`.
+    Trace { trace: &'a coalloc_trace::Trace, time_scale: f64 },
+    /// A caller-supplied feed; `offered` is reported in the outcome.
+    Feed { feed: &'a mut dyn JobFeed, offered: f64 },
 }
 
 impl<'a> SimBuilder<'a> {
@@ -137,7 +148,7 @@ impl<'a> SimBuilder<'a> {
     /// [`OccupancyModel::Faithful`].
     pub fn new(cfg: &'a SimConfig) -> Self {
         let model = cfg.network.map_or(OccupancyModel::Faithful, OccupancyModel::Network);
-        SimBuilder { cfg, model, scheduler: None }
+        SimBuilder { cfg, model, scheduler: None, source: Source::Stochastic }
     }
 
     /// Replaces the occupancy model (mutation testing only; the default
@@ -155,6 +166,23 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
+    /// Makes the run *trace-driven*: the log's submit times (compressed
+    /// by `time_scale`; values < 1 raise the offered load), sizes (split
+    /// under the workload's limit) and runtimes replace the stochastic
+    /// sampling. The workload's size/service distributions are ignored;
+    /// its limit, clusters and extension model still apply.
+    pub fn trace(mut self, trace: &'a coalloc_trace::Trace, time_scale: f64) -> Self {
+        self.source = Source::Trace { trace, time_scale };
+        self
+    }
+
+    /// Drives the run from any [`JobFeed`]; `offered` is the offered
+    /// gross utilization reported in the outcome.
+    pub fn feed(mut self, feed: &'a mut dyn JobFeed, offered: f64) -> Self {
+        self.source = Source::Feed { feed, offered };
+        self
+    }
+
     /// Runs one simulation to completion (all arrivals generated, then
     /// the system drained of *running* jobs; waiting jobs that can never
     /// start are left queued and reported).
@@ -164,136 +192,123 @@ impl<'a> SimBuilder<'a> {
 
     /// [`SimBuilder::run`] with an observer attached (see
     /// [`crate::audit`]). Observers are passive: the outcome is
-    /// bit-identical to the unobserved run's.
+    /// bit-identical to the unobserved run's. Generic over the observer
+    /// so the [`NullObserver`] path monomorphizes to the unobserved
+    /// loop (every hook is an empty inlined default).
     pub fn run_observed<O: SimObserver>(self, obs: &mut O) -> SimOutcome {
-        self.cfg.validate();
-        if self.cfg.warmup == Warmup::Auto {
-            let resolved = resolve_auto_warmup(self.cfg, |pilot| SimBuilder::new(pilot).run());
-            let rebuilt =
-                SimBuilder { cfg: &resolved, model: self.model, scheduler: self.scheduler };
-            return rebuilt.run_observed(obs);
-        }
-        let master = RngStream::new(self.cfg.seed);
-        let mut feed = StochasticFeed::new(
-            self.cfg.workload.clone(),
-            self.cfg.arrival_rate,
-            self.cfg.arrival_cv2,
-            self.cfg.total_jobs,
-            &master,
-        );
-        let offered = self.cfg.offered_gross_utilization();
-        self.run_feed_observed(&mut feed, offered, obs)
-    }
-
-    /// Runs a *trace-driven* simulation: the log's submit times
-    /// (compressed by `time_scale`; values < 1 raise the offered load),
-    /// sizes (split under the workload's limit) and runtimes replace the
-    /// stochastic sampling. The workload's size/service distributions
-    /// are ignored; its limit, clusters and extension model still apply.
-    pub fn run_trace(self, trace: &coalloc_trace::Trace, time_scale: f64) -> SimOutcome {
-        self.run_trace_observed(trace, time_scale, &mut NullObserver)
-    }
-
-    /// [`SimBuilder::run_trace`] with an observer attached.
-    pub fn run_trace_observed<O: SimObserver>(
-        self,
-        trace: &coalloc_trace::Trace,
-        time_scale: f64,
-        obs: &mut O,
-    ) -> SimOutcome {
-        let mut cfg = self.cfg.clone();
-        let mut feed = TraceFeed::new(trace, cfg.workload.limit, cfg.workload.clusters, time_scale);
-        // The feed drops zero-runtime records (cancelled jobs); the run
-        // is sized by what will actually be replayed, not the raw log
-        // length.
-        cfg.total_jobs = feed.len() as u64;
-        cfg.validate();
-        if cfg.warmup == Warmup::Auto {
-            // The pilot replays the same trace (replay is deterministic),
-            // so MSER judges exactly the series the measured run will
-            // produce.
-            cfg = resolve_auto_warmup(&cfg, |pilot| {
-                SimBuilder::new(pilot).run_trace(trace, time_scale)
-            });
-        }
-        // Offered gross utilization of the replay: the trace's gross
-        // work over its (scaled) span times the capacity.
-        let span = trace.jobs.last().expect("non-empty").submit * time_scale;
-        let ratio = cfg.workload.gross_net_ratio();
-        let work: f64 =
-            trace.jobs.iter().map(|j| f64::from(j.size) * j.runtime).sum::<f64>() * ratio;
-        let offered = if span > 0.0 { work / (span * f64::from(cfg.capacity())) } else { f64::NAN };
-        let rebuilt = SimBuilder { cfg: &cfg, model: self.model, scheduler: self.scheduler };
-        rebuilt.run_feed_observed(&mut feed, offered, obs)
-    }
-
-    /// The shared event loop, driven by any [`JobFeed`].
-    pub fn run_feed(self, feed: &mut dyn JobFeed, offered: f64) -> SimOutcome {
-        self.run_feed_observed(feed, offered, &mut NullObserver)
-    }
-
-    /// [`SimBuilder::run_feed`] with an observer attached. Generic over
-    /// the observer so the [`NullObserver`] path monomorphizes to the
-    /// unobserved loop (every hook is an empty inlined default).
-    pub fn run_feed_observed<O: SimObserver>(
-        self,
-        feed: &mut dyn JobFeed,
-        offered: f64,
-        obs: &mut O,
-    ) -> SimOutcome {
-        self.cfg.validate();
-        if let Some(mut policy) = self.scheduler {
-            return Session::new(self.cfg, feed, policy.as_mut(), obs, offered, self.model).run();
-        }
-        // No caller-supplied scheduler: build the policy's *concrete*
-        // type and monomorphize the event loop over it. The scheduler
-        // hooks run after every event, so keeping them direct calls
-        // (inlinable, unlike the `Box<dyn Scheduler>` escape hatch
-        // above) measurably raises events/s — see DESIGN.md and
-        // EXPERIMENTS.md (BENCH_2).
-        let cfg = self.cfg;
-        let routing_rng = RngStream::new(cfg.seed).labelled("routing");
-        let opts = PolicyOptions {
-            disposition: cfg.disposition,
-            discipline: cfg.discipline,
-            estimate_factor: cfg.estimate_factor,
-            workload: cfg.workload.clone(),
-        };
-        let clusters = cfg.system.num_clusters();
-        let (routing, rule, model) = (cfg.routing.clone(), cfg.rule, self.model);
-        match cfg.policy {
-            PolicyKind::Gs => {
-                let mut s = crate::policy::GlobalScheduler::with_options(rule, opts);
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
-            }
-            PolicyKind::Ls => {
-                let mut s = crate::policy::LocalSchedulers::with_options(
-                    clusters,
-                    routing,
-                    routing_rng,
-                    rule,
-                    opts,
+        let SimBuilder { cfg, model, scheduler, source } = self;
+        match source {
+            Source::Stochastic => {
+                cfg.validate();
+                let resolved;
+                let cfg = if cfg.warmup == Warmup::Auto {
+                    resolved = resolve_auto_warmup(cfg, |pilot| SimBuilder::new(pilot).run());
+                    &resolved
+                } else {
+                    cfg
+                };
+                let master = RngStream::new(cfg.seed);
+                let mut feed = StochasticFeed::new(
+                    cfg.workload.clone(),
+                    cfg.arrival_rate,
+                    cfg.arrival_cv2,
+                    cfg.total_jobs,
+                    &master,
                 );
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
+                let offered = cfg.offered_gross_utilization();
+                drive(cfg, model, scheduler, &mut feed, offered, obs)
             }
-            PolicyKind::Lp => {
-                let mut s = crate::policy::LocalPriority::with_options(
-                    clusters,
-                    routing,
-                    routing_rng,
-                    rule,
-                    opts,
-                );
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
+            Source::Trace { trace, time_scale } => {
+                let mut cfg = cfg.clone();
+                let mut feed =
+                    TraceFeed::new(trace, cfg.workload.limit, cfg.workload.clusters, time_scale);
+                // The feed drops zero-runtime records (cancelled jobs);
+                // the run is sized by what will actually be replayed,
+                // not the raw log length.
+                cfg.total_jobs = feed.len() as u64;
+                cfg.validate();
+                if cfg.warmup == Warmup::Auto {
+                    // The pilot replays the same trace (replay is
+                    // deterministic), so MSER judges exactly the series
+                    // the measured run will produce.
+                    cfg = resolve_auto_warmup(&cfg, |pilot| {
+                        SimBuilder::new(pilot).trace(trace, time_scale).run()
+                    });
+                }
+                // Offered gross utilization of the replay: the trace's
+                // gross work over its (scaled) span times the capacity.
+                let span = trace.jobs.last().expect("non-empty").submit * time_scale;
+                let ratio = cfg.workload.gross_net_ratio();
+                let work: f64 =
+                    trace.jobs.iter().map(|j| f64::from(j.size) * j.runtime).sum::<f64>() * ratio;
+                let offered =
+                    if span > 0.0 { work / (span * f64::from(cfg.capacity())) } else { f64::NAN };
+                drive(&cfg, model, scheduler, &mut feed, offered, obs)
             }
-            PolicyKind::Sc => {
-                let mut s = crate::policy::single_cluster_policy_with(rule, opts);
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
-            }
-            PolicyKind::Gb => {
-                let mut s = crate::policy::GlobalBackfill::with_options(rule, opts);
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
-            }
+            Source::Feed { feed, offered } => drive(cfg, model, scheduler, feed, offered, obs),
+        }
+    }
+}
+
+/// The shared event loop of every [`SimBuilder`] source.
+fn drive<O: SimObserver>(
+    cfg: &SimConfig,
+    model: OccupancyModel,
+    scheduler: Option<Box<dyn Scheduler>>,
+    feed: &mut dyn JobFeed,
+    offered: f64,
+    obs: &mut O,
+) -> SimOutcome {
+    cfg.validate();
+    if let Some(mut policy) = scheduler {
+        return Session::new(cfg, feed, policy.as_mut(), obs, offered, model).run();
+    }
+    // No caller-supplied scheduler: build the policy's *concrete* type
+    // and monomorphize the event loop over it. The scheduler hooks run
+    // after every event, so keeping them direct calls (inlinable,
+    // unlike the `Box<dyn Scheduler>` escape hatch above) measurably
+    // raises events/s — see DESIGN.md and EXPERIMENTS.md (BENCH_2).
+    let routing_rng = RngStream::new(cfg.seed).labelled("routing");
+    let opts = PolicyOptions {
+        disposition: cfg.disposition,
+        discipline: cfg.discipline,
+        estimate_factor: cfg.estimate_factor,
+        workload: cfg.workload.clone(),
+    };
+    let clusters = cfg.system.num_clusters();
+    let (routing, rule) = (cfg.routing.clone(), cfg.rule);
+    match cfg.policy {
+        PolicyKind::Gs => {
+            let mut s = crate::policy::GlobalScheduler::with_options(rule, opts);
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
+        }
+        PolicyKind::Ls => {
+            let mut s = crate::policy::LocalSchedulers::with_options(
+                clusters,
+                routing,
+                routing_rng,
+                rule,
+                opts,
+            );
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
+        }
+        PolicyKind::Lp => {
+            let mut s = crate::policy::LocalPriority::with_options(
+                clusters,
+                routing,
+                routing_rng,
+                rule,
+                opts,
+            );
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
+        }
+        PolicyKind::Sc => {
+            let mut s = crate::policy::single_cluster_policy_with(rule, opts);
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
+        }
+        PolicyKind::Gb => {
+            let mut s = crate::policy::GlobalBackfill::with_options(rule, opts);
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
         }
     }
 }
@@ -1226,7 +1241,7 @@ mod trace_replay_tests {
     use coalloc_trace::{generate_das1_log, DasLogConfig};
 
     fn run_trace(cfg: &SimConfig, trace: &coalloc_trace::Trace, time_scale: f64) -> SimOutcome {
-        SimBuilder::new(cfg).run_trace(trace, time_scale)
+        SimBuilder::new(cfg).trace(trace, time_scale).run()
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   ([`Exponential`], [`EmpiricalDiscrete`], [`EmpiricalContinuous`], …);
 //! * output analysis: streaming moments, time-weighted averages,
 //!   histograms, and batch-means confidence intervals ([`stats`]);
-//! * counted resources with FIFO queueing ([`Resource`]), the CSIM
-//!   "facility" analogue, used for analytic validation (M/M/c).
+//! * closed-form queueing results (M/M/1, M/M/c, M/D/1) the analytic
+//!   validation tests compare simulated runs against ([`queueing`]).
 //!
 //! Determinism is a design rule: every source of randomness is an explicit
 //! [`RngStream`], event ties break FIFO by schedule order, and no global
@@ -25,11 +25,8 @@ pub mod calendar;
 pub mod dist;
 pub mod engine;
 pub mod event;
-pub mod ks;
 pub mod quantile;
 pub mod queueing;
-pub mod record;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod stopping;
@@ -43,10 +40,7 @@ pub use dist::{
 };
 pub use engine::Simulation;
 pub use event::{Event, EventId};
-pub use ks::{ks_critical, ks_same_distribution, ks_statistic};
 pub use quantile::P2Quantile;
-pub use record::RingLog;
-pub use resource::{GrantDiscipline, Pending, Resource};
 pub use rng::RngStream;
 pub use stats::{BatchMeans, Estimate, Histogram, TimeWeighted, Welford};
 pub use stopping::{Decision, StopReason, StoppingRule};

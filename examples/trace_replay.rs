@@ -31,7 +31,7 @@ fn main() {
                 SimConfig::das(policy, 16, 0.5)
             };
             cfg.warmup_jobs = 2_000;
-            let out = SimBuilder::new(&cfg).run_trace(&log, time_scale);
+            let out = SimBuilder::new(&cfg).trace(&log, time_scale).run();
             offered = out.offered_gross_utilization;
             row.push(format!(
                 "{:.0}{}",

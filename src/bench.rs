@@ -164,11 +164,6 @@ pub fn run_bench_calendars(scale: BenchScale, calendars: &[CalendarKind]) -> Ben
     }
 }
 
-/// Runs the harness at the given scale under the default heap calendar.
-pub fn run_bench(scale: BenchScale) -> BenchReport {
-    run_bench_calendars(scale, &[CalendarKind::Heap])
-}
-
 /// Peak resident set size of this process in bytes, from
 /// `/proc/self/status` (`VmHWM`); 0 where unavailable.
 pub fn peak_rss_bytes() -> u64 {

@@ -1,7 +1,10 @@
 //! The paper's tables.
 
+use coalloc_core::experiment::WorkerPool;
 use coalloc_core::report::format_table;
-use coalloc_core::saturation::{bisect_max_utilization, maximal_utilization, SaturationConfig};
+use coalloc_core::saturation::{
+    bisect_max_utilization, maximal_utilization, ProbePlan, SaturationConfig,
+};
 use coalloc_trace::{generate_das1_log, DasLogConfig};
 use coalloc_workload::{JobSizeDist, Workload};
 
@@ -105,10 +108,15 @@ pub fn ratios() -> String {
 /// a single global queue).
 pub fn table3_extended(scale: Scale) -> String {
     use coalloc_core::{PolicyKind, SimConfig};
+    // One pool serves every probe of every search; single-replication
+    // probes on each probe config's own seed.
+    let pool = WorkerPool::new(0);
+    let plan = ProbePlan { replications: 1 };
     let mut rows = Vec::new();
     for limit in [16u32, 24, 32] {
         for policy in [PolicyKind::Ls, PolicyKind::Lp] {
             let max = bisect_max_utilization(
+                &pool,
                 |util| {
                     let mut cfg = SimConfig::das(policy, limit, util);
                     cfg.total_jobs = scale.total_jobs() / 2;
@@ -118,7 +126,10 @@ pub fn table3_extended(scale: Scale) -> String {
                 0.2,
                 1.0,
                 0.02,
-            );
+                &plan,
+                None,
+            )
+            .expect("searches without a token never cancel");
             let net = max / coalloc_workload::Workload::das(limit).gross_net_ratio();
             rows.push(vec![
                 format!("{} limit {limit}", policy.label()),

@@ -80,7 +80,7 @@ use std::time::Duration;
 use coalloc_core::experiment::{
     CancelReason, CancelToken, ResultStore, ScenarioCache, SweepConfig, SweepPoint, WorkerPool,
 };
-use coalloc_core::{bisect_max_utilization_cancellable_on, CoallocError, ProbePlan};
+use coalloc_core::{bisect_max_utilization, CoallocError, ProbePlan};
 
 use crate::experiments::Scale;
 use crate::scenario::ScenarioSpec;
@@ -147,6 +147,9 @@ pub struct ServeRequest {
     pub target: Option<String>,
 }
 
+/// `disk_hits` counts the round's cache hits answered by rehydrating
+/// the disk store. It is `None`, and its key absent, when no store is
+/// attached, so storeless daemons emit the historical bytes exactly.
 #[derive(serde::Serialize)]
 struct RoundEvent {
     id: String,
@@ -154,22 +157,8 @@ struct RoundEvent {
     round: u64,
     tasks: u64,
     cache_hits: u64,
-    executed: u64,
-    open_points: u64,
-}
-
-/// [`RoundEvent`] when a disk store is attached: `disk_hits` counts the
-/// round's cache hits answered by rehydrating the store. A separate
-/// struct (not an optional field) so storeless daemons emit the
-/// historical bytes exactly.
-#[derive(serde::Serialize)]
-struct RoundEventDisk {
-    id: String,
-    event: String,
-    round: u64,
-    tasks: u64,
-    cache_hits: u64,
-    disk_hits: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    disk_hits: Option<u64>,
     executed: u64,
     open_points: u64,
 }
@@ -178,6 +167,8 @@ struct RoundEventDisk {
 /// `"points":` up to the closing `}` is exactly
 /// `serde_json::to_string(&points)` — the same bytes `coalloc-exp sweep
 /// --json` prints — so clients and CI can compare results byte for byte.
+/// `disk_hits` is present only when a store is attached, as in
+/// [`RoundEvent`].
 #[derive(serde::Serialize)]
 struct SweepResultEvent {
     id: String,
@@ -186,20 +177,8 @@ struct SweepResultEvent {
     resumed: u64,
     executed: u64,
     cache_hits: u64,
-    points: Vec<SweepPoint>,
-}
-
-/// [`SweepResultEvent`] when a disk store is attached; `disk_hits`
-/// slots in before `points`, which stays last for byte-comparability.
-#[derive(serde::Serialize)]
-struct SweepResultEventDisk {
-    id: String,
-    event: String,
-    rounds: u64,
-    resumed: u64,
-    executed: u64,
-    cache_hits: u64,
-    disk_hits: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    disk_hits: Option<u64>,
     points: Vec<SweepPoint>,
 }
 
@@ -348,6 +327,38 @@ fn sweep_config(req: &ServeRequest, scale: Scale) -> Result<SweepConfig, Coalloc
     Ok(cfg)
 }
 
+/// The most probe replications a saturation request may ask for. Each
+/// probe builds one config per replication up front, so an unbounded
+/// count is an allocation the daemon cannot survive; a majority vote
+/// gains nothing from more runs than this.
+const MAX_PROBE_REPLICATIONS: u64 = 1_000;
+
+/// The validated search of a saturation request: plan, bracket and
+/// tolerance, each defaulted when absent.
+fn saturation_search(req: &ServeRequest) -> Result<(ProbePlan, f64, f64, f64), CoallocError> {
+    let replications = req.replications.unwrap_or(3);
+    if !(1..=MAX_PROBE_REPLICATIONS).contains(&replications) {
+        return Err(CoallocError::invalid(
+            "replications",
+            &replications.to_string(),
+            &format!("1 <= replications <= {MAX_PROBE_REPLICATIONS}"),
+        ));
+    }
+    let (lo, hi) = (req.lo.unwrap_or(0.3), req.hi.unwrap_or(1.2));
+    if !(0.0 < lo && lo < hi && hi <= 2.0) {
+        return Err(CoallocError::invalid("lo/hi", &format!("{lo}..{hi}"), "0 < lo < hi <= 2"));
+    }
+    let tolerance = req.tolerance.unwrap_or(0.05);
+    if !(tolerance > 0.0 && tolerance.is_finite()) {
+        return Err(CoallocError::invalid(
+            "tolerance",
+            &format!("{tolerance}"),
+            "a positive finite width",
+        ));
+    }
+    Ok((ProbePlan { replications }, lo, hi, tolerance))
+}
+
 /// Runs one request to completion, streaming round events. `Ok(None)`
 /// is a completed request, `Ok(Some(reason))` one that was cancelled or
 /// timed out (its lifecycle event has already been sent).
@@ -360,7 +371,8 @@ fn handle_request(
     tx: &mpsc::Sender<String>,
     default_scale: Scale,
 ) -> Result<Option<CancelReason>, CoallocError> {
-    let disk = cache.disk_store().is_some();
+    // `Some` only with a store attached: the key is absent otherwise.
+    let disk = |hits: u64| cache.disk_store().map(|_| hits);
     let spec = spec_of(req, default_scale)?;
     match req.kind.as_deref() {
         Some("sweep") => {
@@ -372,56 +384,32 @@ fn handle_request(
                 &cfg,
                 Some(cancel),
                 |r| {
-                    let line = if disk {
-                        serde_json::to_string(&RoundEventDisk {
-                            id: id.to_string(),
-                            event: "round".to_string(),
-                            round: r.round as u64,
-                            tasks: r.tasks as u64,
-                            cache_hits: r.cache_hits as u64,
-                            disk_hits: r.disk_hits as u64,
-                            executed: r.executed as u64,
-                            open_points: r.open_points as u64,
-                        })
-                    } else {
-                        serde_json::to_string(&RoundEvent {
-                            id: id.to_string(),
-                            event: "round".to_string(),
-                            round: r.round as u64,
-                            tasks: r.tasks as u64,
-                            cache_hits: r.cache_hits as u64,
-                            executed: r.executed as u64,
-                            open_points: r.open_points as u64,
-                        })
+                    let ev = RoundEvent {
+                        id: id.to_string(),
+                        event: "round".to_string(),
+                        round: r.round as u64,
+                        tasks: r.tasks as u64,
+                        cache_hits: r.cache_hits as u64,
+                        disk_hits: disk(r.disk_hits as u64),
+                        executed: r.executed as u64,
+                        open_points: r.open_points as u64,
                     };
-                    send(tx, line.expect("round event serializes"));
+                    send(tx, serde_json::to_string(&ev).expect("round event serializes"));
                 },
             );
             match run {
                 Ok((points, stats)) => {
-                    let line = if disk {
-                        serde_json::to_string(&SweepResultEventDisk {
-                            id: id.to_string(),
-                            event: "result".to_string(),
-                            rounds: stats.rounds as u64,
-                            resumed: stats.resumed,
-                            executed: stats.executed,
-                            cache_hits: stats.cache_hits,
-                            disk_hits: stats.disk_hits,
-                            points,
-                        })
-                    } else {
-                        serde_json::to_string(&SweepResultEvent {
-                            id: id.to_string(),
-                            event: "result".to_string(),
-                            rounds: stats.rounds as u64,
-                            resumed: stats.resumed,
-                            executed: stats.executed,
-                            cache_hits: stats.cache_hits,
-                            points,
-                        })
+                    let ev = SweepResultEvent {
+                        id: id.to_string(),
+                        event: "result".to_string(),
+                        rounds: stats.rounds as u64,
+                        resumed: stats.resumed,
+                        executed: stats.executed,
+                        cache_hits: stats.cache_hits,
+                        disk_hits: disk(stats.disk_hits),
+                        points,
                     };
-                    send(tx, line.expect("sweep result serializes"));
+                    send(tx, serde_json::to_string(&ev).expect("sweep result serializes"));
                     Ok(None)
                 }
                 Err(reason) => {
@@ -431,10 +419,8 @@ fn handle_request(
             }
         }
         Some("saturation") => {
-            let plan = ProbePlan { replications: req.replications.unwrap_or(3), threads: 0 };
-            let (lo, hi) = (req.lo.unwrap_or(0.3), req.hi.unwrap_or(1.2));
-            let tolerance = req.tolerance.unwrap_or(0.05);
-            match bisect_max_utilization_cancellable_on(
+            let (plan, lo, hi, tolerance) = saturation_search(req)?;
+            match bisect_max_utilization(
                 pool,
                 spec.make_cfg(),
                 lo,
@@ -475,19 +461,6 @@ fn registry_lock(
     tokens: &TokenRegistry,
 ) -> std::sync::MutexGuard<'_, HashMap<String, CancelToken>> {
     tokens.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Runs the serve loop with the historical memory-only configuration:
-/// JSONL requests from `input`, JSONL events to `output`, all requests
-/// sharing one worker pool of `threads` workers (0 = one per core) and
-/// one scenario cache. See [`serve_with`] for the durable variant.
-pub fn serve<R: BufRead, W: Write + Send + 'static>(
-    input: R,
-    output: W,
-    threads: usize,
-    default_scale: Scale,
-) -> std::io::Result<ServeSummary> {
-    serve_with(input, output, &ServeOptions::new(threads, default_scale))
 }
 
 /// Runs the serve loop. Returns when `input` reaches EOF or a
@@ -826,6 +799,79 @@ mod tests {
         assert_eq!(str_field(last, "event"), "shutdown");
         assert_eq!(str_field(last, "id"), "down");
         assert!(!events.iter().any(|e| str_field(e, "id") == "never"));
+    }
+
+    #[test]
+    fn invalid_saturation_fields_are_typed_errors_not_panics() {
+        // Each of these reached an assert! inside the search (or, for a
+        // huge replication count, an allocation that aborts instead of
+        // unwinding); each must come back as a request error naming
+        // its field.
+        let cases = [
+            (r#""replications":0"#, "replications"),
+            (r#""replications":18446744073709551615"#, "replications"),
+            (r#""tolerance":0"#, "tolerance"),
+            (r#""lo":0.9,"hi":0.5"#, "lo/hi"),
+        ];
+        for (fields, name) in cases {
+            let line =
+                format!(r#"{{"id":"s","kind":"saturation","policy":"GS","limit":16,{fields}}}"#);
+            let (events, summary) = run_lines(&format!("{line}\n"));
+            assert_eq!(summary.errors, 1, "{fields}");
+            assert_eq!(events.len(), 1, "{fields}");
+            assert_eq!(str_field(&events[0], "event"), "error", "{fields}");
+            let error = str_field(&events[0], "error");
+            assert!(!error.contains("panicked"), "{fields}: {error}");
+            assert!(error.contains(name), "{fields}: {error}");
+        }
+    }
+
+    /// The keys of `event` lines (`round` or `result`), in line order.
+    fn keys_of(events: &[serde::value::Value], event: &str) -> Vec<Vec<String>> {
+        events
+            .iter()
+            .filter(|e| str_field(e, "event") == event)
+            .map(|e| match e {
+                serde::value::Value::Object(fields) => {
+                    fields.iter().map(|(k, _)| k.clone()).collect()
+                }
+                other => panic!("event is {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn event_keys_keep_their_order_with_and_without_a_store() {
+        let req = concat!(
+            r#"{"id":"a","kind":"sweep","policy":"GS","limit":16,"utilizations":[0.2],"min_reps":1,"max_reps":1}"#,
+            "\n"
+        );
+        let round = ["id", "event", "round", "tasks", "cache_hits"];
+        let result = ["id", "event", "rounds", "resumed", "executed", "cache_hits"];
+        let with = |head: &[&str], disk: bool, tail: &[&str]| -> Vec<String> {
+            let disk: &[&str] = if disk { &["disk_hits"] } else { &[] };
+            head.iter().chain(disk).chain(tail).map(|k| (*k).to_string()).collect()
+        };
+
+        // Without a store: the historical shapes, no `disk_hits` key.
+        let (events, _) = run_lines(req);
+        assert_eq!(keys_of(&events, "round"), [with(&round, false, &["executed", "open_points"])]);
+        assert_eq!(keys_of(&events, "result"), [with(&result, false, &["points"])]);
+
+        // With a store: `disk_hits` right after `cache_hits`, `points`
+        // still last.
+        let dir = std::env::temp_dir().join(format!("coalloc-serve-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ServeOptions {
+            threads: 2,
+            default_scale: Scale::Quick,
+            store: Some(dir.clone()),
+            cache_cap: None,
+        };
+        let (events, _) = run_opts(req, &opts);
+        assert_eq!(keys_of(&events, "round"), [with(&round, true, &["executed", "open_points"])]);
+        assert_eq!(keys_of(&events, "result"), [with(&result, true, &["points"])]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

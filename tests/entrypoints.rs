@@ -70,31 +70,39 @@ fn observers_are_passive_and_event_logs_deterministic() {
 fn trace_runs_are_deterministic() {
     let log = generate_das1_log(&DasLogConfig { jobs: 2_000, ..DasLogConfig::default() });
     let cfg = cfg(PolicyKind::Gs);
-    let a = SimBuilder::new(&cfg).run_trace(&log, 10.0);
-    let b = SimBuilder::new(&cfg).run_trace(&log, 10.0);
-    assert_same(&a, &b, "run_trace");
+    let a = SimBuilder::new(&cfg).trace(&log, 10.0).run();
+    let b = SimBuilder::new(&cfg).trace(&log, 10.0).run();
+    assert_same(&a, &b, "trace");
+    let mut sink = JsonlSink::new(Vec::new());
+    let observed = SimBuilder::new(&cfg).trace(&log, 10.0).run_observed(&mut sink);
+    assert_same(&a, &observed, "trace vs observed trace");
+    assert!(!sink.finish().expect("log written").is_empty());
 }
 
 #[test]
 fn an_explicit_feed_matches_the_all_in_one_stochastic_path() {
     let cfg = cfg(PolicyKind::Gs);
     let offered = cfg.offered_gross_utilization();
-    let explicit = SimBuilder::new(&cfg).run_feed(&mut feed_for(&cfg), offered);
+    let explicit = SimBuilder::new(&cfg).feed(&mut feed_for(&cfg), offered).run();
     // The all-in-one path builds the identical feed internally.
-    assert_same(&explicit, &SimBuilder::new(&cfg).run(), "run_feed vs run");
+    assert_same(&explicit, &SimBuilder::new(&cfg).run(), "feed vs run");
+    // A builder holds one source: a later setter replaces an earlier one.
+    let log = generate_das1_log(&DasLogConfig { jobs: 2_000, ..DasLogConfig::default() });
+    let replaced = SimBuilder::new(&cfg).trace(&log, 10.0).feed(&mut feed_for(&cfg), offered).run();
+    assert_same(&explicit, &replaced, "trace replaced by feed");
 }
 
 #[test]
 fn feed_observed_matches_feed_and_logs_deterministically() {
     let cfg = cfg(PolicyKind::Lp);
     let offered = cfg.offered_gross_utilization();
-    let plain = SimBuilder::new(&cfg).run_feed(&mut feed_for(&cfg), offered);
+    let plain = SimBuilder::new(&cfg).feed(&mut feed_for(&cfg), offered).run();
     let mut sink_a = JsonlSink::new(Vec::new());
     let observed =
-        SimBuilder::new(&cfg).run_feed_observed(&mut feed_for(&cfg), offered, &mut sink_a);
-    assert_same(&plain, &observed, "run_feed vs run_feed_observed");
+        SimBuilder::new(&cfg).feed(&mut feed_for(&cfg), offered).run_observed(&mut sink_a);
+    assert_same(&plain, &observed, "feed vs observed feed");
     let mut sink_b = JsonlSink::new(Vec::new());
-    SimBuilder::new(&cfg).run_feed_observed(&mut feed_for(&cfg), offered, &mut sink_b);
+    SimBuilder::new(&cfg).feed(&mut feed_for(&cfg), offered).run_observed(&mut sink_b);
     assert_eq!(
         sink_a.finish().expect("log written"),
         sink_b.finish().expect("log written"),
@@ -118,7 +126,8 @@ fn an_explicit_scheduler_reproduces_the_config_built_one() {
     let explicit = SimBuilder::new(&cfg)
         .scheduler(build_policy())
         .occupancy(OccupancyModel::Faithful)
-        .run_feed_observed(&mut feed_for(&cfg), offered, &mut sink);
+        .feed(&mut feed_for(&cfg), offered)
+        .run_observed(&mut sink);
     assert!(!sink.finish().expect("log written").is_empty());
     // The explicit scheduler path reproduces the config-built one.
     assert_same(&explicit, &SimBuilder::new(&cfg).run(), "explicit scheduler vs run");

@@ -2,7 +2,7 @@
 //! KS-based distribution checks, and replay-vs-sampling consistency.
 
 use coalloc::core::{PolicyKind, SimBuilder, SimConfig};
-use coalloc::desim::{ks_same_distribution, ks_statistic, RngStream};
+use coalloc::desim::RngStream;
 use coalloc::trace::{generate_das1_log, DasLogConfig};
 use coalloc::workload::Workload;
 
@@ -34,6 +34,37 @@ fn common_random_numbers_reduce_variance() {
     assert!(v_crn < v_indep, "CRN variance {v_crn:.0} must undercut independent {v_indep:.0}");
 }
 
+/// The two-sample Kolmogorov–Smirnov statistic: the largest absolute
+/// difference between the two empirical CDFs.
+fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
+    let (mut a, mut b) = (a.to_vec(), b.to_vec());
+    a.sort_by(f64::total_cmp);
+    b.sort_by(f64::total_cmp);
+    let (na, nb) = (a.len() as f64, b.len() as f64);
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut d: f64 = 0.0;
+    while i < a.len() && j < b.len() {
+        let x = a[i].min(b[j]);
+        while i < a.len() && a[i] <= x {
+            i += 1;
+        }
+        while j < b.len() && b[j] <= x {
+            j += 1;
+        }
+        d = d.max((i as f64 / na - j as f64 / nb).abs());
+    }
+    d
+}
+
+/// Whether two samples are consistent with one distribution at
+/// significance `alpha`: the KS distance against the large-sample
+/// critical value `c(α)·√((n+m)/(n·m))`, `c(α) = √(−ln(α/2)/2)`.
+fn ks_same_distribution(a: &[f64], b: &[f64], alpha: f64) -> bool {
+    let (n, m) = (a.len() as f64, b.len() as f64);
+    let critical = (-(alpha / 2.0).ln() / 2.0).sqrt() * ((n + m) / (n * m)).sqrt();
+    ks_statistic(a, b) <= critical
+}
+
 /// The synthetic log's sampled sizes match the master pmf by a KS test.
 #[test]
 fn log_sizes_match_the_pmf() {
@@ -59,7 +90,7 @@ fn replay_and_sampling_agree_at_low_load() {
     // Stretch the log to near-zero load so every job starts on arrival.
     let mut cfg = SimConfig::das(PolicyKind::Gs, 16, 0.1);
     cfg.warmup_jobs = 800;
-    let replay = SimBuilder::new(&cfg).run_trace(&log, 10.0);
+    let replay = SimBuilder::new(&cfg).trace(&log, 10.0).run();
     // At near-zero load the mean response equals the mean (extended)
     // occupancy of the log's jobs.
     let w = Workload::das(16);
