@@ -33,19 +33,24 @@ enum Assignments {
 }
 
 impl Assignments {
-    fn from_slice(pairs: &[(usize, u32)]) -> Self {
-        if pairs.len() <= INLINE_ASSIGNMENTS {
+    /// Writes the pairs `pair(0), …, pair(len - 1)` straight into their
+    /// final storage: inline for up to four, one exact-size heap
+    /// allocation for more.
+    fn from_fn(len: usize, pair: impl Fn(usize) -> (usize, u32)) -> Self {
+        if len <= INLINE_ASSIGNMENTS {
             let mut buf = [(0usize, 0u32); INLINE_ASSIGNMENTS];
-            buf[..pairs.len()].copy_from_slice(pairs);
-            Assignments::Inline { len: pairs.len() as u8, buf }
+            for (j, slot) in buf[..len].iter_mut().enumerate() {
+                *slot = pair(j);
+            }
+            Assignments::Inline { len: len as u8, buf }
         } else {
-            Assignments::Heap(pairs.to_vec())
+            Assignments::Heap((0..len).map(pair).collect())
         }
     }
 
     fn from_vec(pairs: Vec<(usize, u32)>) -> Self {
         if pairs.len() <= INLINE_ASSIGNMENTS {
-            Assignments::from_slice(&pairs)
+            Assignments::from_fn(pairs.len(), |j| pairs[j])
         } else {
             Assignments::Heap(pairs)
         }
@@ -107,8 +112,21 @@ impl Placement {
     /// # Panics
     /// Same validation as [`Placement::new`].
     pub fn from_slice(assignments: &[(usize, u32)]) -> Self {
-        Self::validate(assignments);
-        Placement { assignments: Assignments::from_slice(assignments) }
+        Self::from_fn(assignments.len(), |j| assignments[j])
+    }
+
+    /// Builds a placement of `len` components whose `j`-th pair is
+    /// `pair(j)`, written straight into the inline storage (or the heap
+    /// spill past four components) — the placement kernels record only
+    /// a cluster index per component while they search, and build the
+    /// pairs once the last component fits.
+    ///
+    /// # Panics
+    /// Same validation as [`Placement::new`].
+    pub(crate) fn from_fn(len: usize, pair: impl Fn(usize) -> (usize, u32)) -> Self {
+        let assignments = Assignments::from_fn(len, pair);
+        Self::validate(assignments.as_slice());
+        Placement { assignments }
     }
 
     /// Builds a placement *without* the distinct-cluster check, so

@@ -65,7 +65,8 @@ pub use policy::{
 };
 pub use queue::QueueDiscipline;
 pub use saturation::{
-    bisect_max_utilization, maximal_utilization, ProbePlan, SaturationConfig, SaturationResult,
+    bisect_max_utilization, maximal_utilization, BisectError, ProbePlan, SaturationConfig,
+    SaturationResult,
 };
 pub use sim::{
     mean_response, NetworkSpec, NetworkTopology, OccupancyModel, Session, SimBuilder, SimConfig,

@@ -7,6 +7,11 @@
 //! Worst Fit is the paper's rule; Best Fit and First Fit are provided as
 //! ablation alternatives (see DESIGN.md).
 
+// A local array over 256 bytes (`clippy.toml`) is rejected here: the
+// kernels run on every fit check, and a 64-entry scratch of pairs once
+// cost half of each attempt in zero-filling alone.
+#![deny(clippy::large_stack_arrays)]
+
 use crate::audit::PlacementScope;
 use crate::job::Placement;
 
@@ -31,27 +36,24 @@ impl PlacementRule {
     /// Chooses a cluster index for a component of `size` among clusters
     /// whose current idle counts are `idle`, excluding clusters whose
     /// bit is set in `used`. Ties break to the lowest index.
+    ///
+    /// One branchless max per call: each cluster gets a packed key, the
+    /// rule's rank above an inverted index byte (so the max breaks ties
+    /// to the lowest index), and a cluster that is used or too small is
+    /// masked to key 0, below every eligible key (whose index byte is at
+    /// least `255 - 63`).
     fn choose(self, idle: &[u32], used: u64, size: u32) -> Option<usize> {
-        let mut best: Option<(usize, u32)> = None;
-        for (i, &free) in idle.iter().enumerate() {
-            if used & (1 << i) != 0 || free < size {
-                continue;
-            }
-            match self {
-                PlacementRule::FirstFit => return Some(i),
-                PlacementRule::WorstFit => {
-                    if best.is_none_or(|(_, b)| free > b) {
-                        best = Some((i, free));
-                    }
-                }
-                PlacementRule::BestFit => {
-                    if best.is_none_or(|(_, b)| free < b) {
-                        best = Some((i, free));
-                    }
-                }
-            }
-        }
-        best.map(|(i, _)| i)
+        let best = idle.iter().enumerate().fold(0u64, |best, (i, &free)| {
+            let rank = match self {
+                PlacementRule::WorstFit => free,
+                PlacementRule::BestFit => !free,
+                PlacementRule::FirstFit => 0,
+            };
+            let key = (u64::from(rank) << 8) | (255 - i) as u64;
+            let eligible = (used >> i) & 1 == 0 && free >= size;
+            best.max(key & u64::from(eligible).wrapping_neg())
+        });
+        (best != 0).then(|| 255 - (best & 0xff) as usize)
     }
 }
 
@@ -82,50 +84,20 @@ pub fn place_unordered(idle: &[u32], components: &[u32], rule: PlacementRule) ->
         idle.len()
     );
     assert!(idle.len() <= MAX_CLUSTERS, "at most {MAX_CLUSTERS} clusters supported");
-    // Stack-only placement: the chosen assignments live in a fixed
-    // array and the distinctness constraint in a bitmask, so neither a
-    // failed attempt nor a paper-scale success touches the heap — the
-    // resulting `Placement` stores small assignment lists inline.
-    let mut pairs = [(0usize, 0u32); MAX_CLUSTERS];
-    if rule == PlacementRule::WorstFit && components.len() > 1 {
-        // Worst Fit fast path. `idle` is not decremented between
-        // components (distinctness is the only coupling), so greedy WF
-        // pairs the j-th largest component with the j-th cluster in
-        // (idle desc, index asc) order; the attempt fails iff some
-        // component outgrows its cluster in that pairing. One partial
-        // selection sort replaces a full cluster scan per component.
-        let m = components.len();
-        let mut order = [0u8; MAX_CLUSTERS];
-        for (slot, o) in order.iter_mut().enumerate().take(idle.len()) {
-            *o = slot as u8;
-        }
-        for j in 0..m {
-            let mut best = j;
-            for i in j + 1..idle.len() {
-                let (c, b) = (order[i] as usize, order[best] as usize);
-                // Ties break to the lowest cluster index, as in `choose`
-                // (earlier swaps scramble the scan order, so position
-                // order alone does not give that).
-                if idle[c] > idle[b] || (idle[c] == idle[b] && c < b) {
-                    best = i;
-                }
-            }
-            order.swap(j, best);
-            let cluster = order[j] as usize;
-            if idle[cluster] < components[j] {
-                return None;
-            }
-            pairs[j] = (cluster, components[j]);
-        }
-        return Some(Placement::from_slice(&pairs[..m]));
-    }
+    // An attempt costs what the request needs: while it searches it
+    // keeps one byte per component (the chosen cluster) and the
+    // distinctness constraint in a bitmask. The `(cluster, size)` pairs
+    // are built only once the last component fits, straight into the
+    // `Placement` (inline up to four components), so a failed attempt
+    // writes no pairs and touches no heap at any width.
+    let mut chosen = [0u8; MAX_CLUSTERS];
     let mut used: u64 = 0;
-    for (slot, &comp) in components.iter().enumerate() {
-        let cluster = rule.choose(idle, used, comp)?;
+    for (slot, &size) in chosen.iter_mut().zip(components) {
+        let cluster = rule.choose(idle, used, size)?;
         used |= 1 << cluster;
-        pairs[slot] = (cluster, comp);
+        *slot = cluster as u8;
     }
-    Some(Placement::from_slice(&pairs[..components.len()]))
+    Some(Placement::from_fn(components.len(), |j| (usize::from(chosen[j]), components[j])))
 }
 
 /// Attempts to place a single-component job on one *specific* cluster
@@ -149,7 +121,7 @@ pub fn place_ordered(idle: &[u32], components: &[u32], targets: &[usize]) -> Opt
             return None;
         }
     }
-    Some(Placement::new(components.iter().zip(targets).map(|(&c, &t)| (t, c)).collect()))
+    Some(Placement::from_fn(components.len(), |j| (targets[j], components[j])))
 }
 
 /// Attempts to place a *flexible* request for `total` processors: the
@@ -159,27 +131,28 @@ pub fn place_ordered(idle: &[u32], components: &[u32], targets: &[usize]) -> Opt
 /// flexible requests never suffer multicluster fragmentation.
 pub fn place_flexible(idle: &[u32], total: u32, rule: PlacementRule) -> Option<Placement> {
     assert!(total > 0, "a request needs at least one processor");
+    assert!(idle.len() <= MAX_CLUSTERS, "at most {MAX_CLUSTERS} clusters supported");
     if idle.iter().map(|&x| u64::from(x)).sum::<u64>() < u64::from(total) {
         return None;
     }
-    let mut order: Vec<usize> = (0..idle.len()).filter(|&i| idle[i] > 0).collect();
-    match rule {
-        PlacementRule::WorstFit => order.sort_by_key(|&i| (std::cmp::Reverse(idle[i]), i)),
-        PlacementRule::BestFit => order.sort_by_key(|&i| (idle[i], i)),
-        PlacementRule::FirstFit => {}
+    // Chunks come from non-empty clusters in the rule's preference
+    // order: each chunk takes its cluster's whole idle count, except the
+    // last, which takes what remains.
+    let mut chosen = [0u8; MAX_CLUSTERS];
+    let mut used: u64 = 0;
+    let (mut chunks, mut remaining, mut last) = (0, total, 0);
+    while remaining > 0 {
+        let cluster = rule.choose(idle, used, 1).expect("total idle was checked above");
+        used |= 1 << cluster;
+        chosen[chunks] = cluster as u8;
+        chunks += 1;
+        last = idle[cluster].min(remaining);
+        remaining -= last;
     }
-    let mut remaining = total;
-    let mut assignments = Vec::new();
-    for i in order {
-        if remaining == 0 {
-            break;
-        }
-        let take = idle[i].min(remaining);
-        assignments.push((i, take));
-        remaining -= take;
-    }
-    debug_assert_eq!(remaining, 0, "total idle was checked above");
-    Some(Placement::new(assignments))
+    Some(Placement::from_fn(chunks, |j| {
+        let cluster = usize::from(chosen[j]);
+        (cluster, if j + 1 == chunks { last } else { idle[cluster] })
+    }))
 }
 
 /// Places any request according to its structure: the single dispatch

@@ -232,6 +232,41 @@ impl ProbePlan {
     }
 }
 
+/// Why [`bisect_max_utilization`] returned no boundary.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum BisectError {
+    /// The caller's token fired before the search finished.
+    Cancelled(CancelReason),
+    /// `lo` is already saturated, so the threshold lies below it.
+    SaturatedLo(f64),
+    /// `hi` is still stable, so the threshold lies above it.
+    StableHi(f64),
+}
+
+impl From<CancelReason> for BisectError {
+    fn from(reason: CancelReason) -> Self {
+        BisectError::Cancelled(reason)
+    }
+}
+
+impl core::fmt::Display for BisectError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            BisectError::Cancelled(reason) => write!(f, "bisection {}", reason.label()),
+            BisectError::SaturatedLo(lo) => {
+                write!(f, "bisection bracket invalid: lo = {lo} is already saturated; lower lo")
+            }
+            BisectError::StableHi(hi) => write!(
+                f,
+                "bisection bracket invalid: hi = {hi} is still stable; \
+                 the saturation point lies above hi"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BisectError {}
+
 /// Finds the maximal stable utilization of *any* policy by bisection on
 /// open-system runs: the paper's constant-backlog method is only valid
 /// for single-global-queue policies (GS, SC), while this search works
@@ -248,18 +283,20 @@ impl ProbePlan {
 ///
 /// `cancel`, when given, is checked between probes (and between a
 /// probe's replications, inside the pool): once it fires the search
-/// returns `Err(CancelReason)` instead of a boundary. A later
+/// returns [`BisectError::Cancelled`] instead of a boundary. A later
 /// uncancelled search re-probes from scratch and lands on the same
 /// deterministic answer.
 ///
+/// `[lo, hi]` must bracket the saturation threshold: `lo` stable and
+/// `hi` saturated. Both ends are probed first, also in release builds,
+/// and a failed end returns [`BisectError::SaturatedLo`] or
+/// [`BisectError::StableHi`] — an unchecked bracket silently converges
+/// to the nearest bound and reports it as the saturation point, which
+/// is a wrong *number*, not an error.
+///
 /// # Panics
 /// Panics unless `0 < lo < hi <= 2`, `tolerance > 0` and
-/// `plan.replications > 0`, and when `[lo, hi]` does not bracket the
-/// saturation threshold: `lo` must be stable and `hi` saturated. Both
-/// ends are checked unconditionally (also in release builds) — an
-/// unchecked bracket silently converges to the nearest bound and
-/// reports it as the saturation point, which is a wrong *number*, not a
-/// crash.
+/// `plan.replications > 0`.
 pub fn bisect_max_utilization<F>(
     pool: &WorkerPool,
     make_cfg: F,
@@ -268,23 +305,20 @@ pub fn bisect_max_utilization<F>(
     tolerance: f64,
     plan: &ProbePlan,
     cancel: Option<&CancelToken>,
-) -> Result<f64, CancelReason>
+) -> Result<f64, BisectError>
 where
     F: Fn(f64) -> crate::sim::SimConfig,
 {
     assert!(0.0 < lo && lo < hi && hi <= 2.0, "search bounds must satisfy 0 < lo < hi <= 2");
     assert!(tolerance > 0.0);
     // The bounds must bracket the threshold. These probes are the
-    // price of a trustworthy answer; a debug_assert! would vanish in
-    // release builds, where all real searches run.
-    assert!(
-        !plan.saturated(pool, &make_cfg, lo, cancel)?,
-        "bisection bracket invalid: lo = {lo} is already saturated; lower lo"
-    );
-    assert!(
-        plan.saturated(pool, &make_cfg, hi, cancel)?,
-        "bisection bracket invalid: hi = {hi} is still stable; the saturation point lies above hi"
-    );
+    // price of a trustworthy answer.
+    if plan.saturated(pool, &make_cfg, lo, cancel)? {
+        return Err(BisectError::SaturatedLo(lo));
+    }
+    if !plan.saturated(pool, &make_cfg, hi, cancel)? {
+        return Err(BisectError::StableHi(hi));
+    }
     while hi - lo > tolerance {
         let mid = 0.5 * (lo + hi);
         // Adjacent doubles: the midpoint rounds onto a bound and the
@@ -345,6 +379,19 @@ mod tests {
     }
 
     /// An uncancelled search on a fresh pool.
+    fn try_search<F: Fn(f64) -> crate::sim::SimConfig>(
+        make_cfg: F,
+        lo: f64,
+        hi: f64,
+        tolerance: f64,
+        replications: u64,
+    ) -> Result<f64, BisectError> {
+        let pool = WorkerPool::new(2);
+        let plan = ProbePlan { replications };
+        bisect_max_utilization(&pool, make_cfg, lo, hi, tolerance, &plan, None)
+    }
+
+    /// [`try_search`] on a bracket that brackets.
     fn search<F: Fn(f64) -> crate::sim::SimConfig>(
         make_cfg: F,
         lo: f64,
@@ -352,10 +399,7 @@ mod tests {
         tolerance: f64,
         replications: u64,
     ) -> f64 {
-        let pool = WorkerPool::new(2);
-        let plan = ProbePlan { replications };
-        bisect_max_utilization(&pool, make_cfg, lo, hi, tolerance, &plan, None)
-            .expect("searches without a token never cancel")
+        try_search(make_cfg, lo, hi, tolerance, replications).expect("a valid bracket")
     }
 
     #[test]
@@ -393,19 +437,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "still stable")]
     fn bisection_rejects_a_stable_hi() {
         // Both ends stable: the old code silently converged to ~hi and
-        // reported a bound, not a measurement. Now it panics.
-        search(tiny_cfg, 0.05, 0.2, 0.05, 1);
+        // reported a bound, not a measurement. Now it is an error.
+        let err = try_search(tiny_cfg, 0.05, 0.2, 0.05, 1).unwrap_err();
+        assert_eq!(err, BisectError::StableHi(0.2));
+        assert!(err.to_string().contains("still stable"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "already saturated")]
     fn bisection_rejects_a_saturated_lo() {
         // Checked unconditionally — the old debug_assert! (with a
         // different message) vanished entirely in release builds.
-        search(tiny_cfg, 1.5, 1.8, 0.05, 1);
+        let err = try_search(tiny_cfg, 1.5, 1.8, 0.05, 1).unwrap_err();
+        assert_eq!(err, BisectError::SaturatedLo(1.5));
+        assert!(err.to_string().contains("already saturated"), "{err}");
     }
 
     #[test]

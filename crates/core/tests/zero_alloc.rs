@@ -2,7 +2,10 @@
 //! allocator: in the steady-state event cycle — departure release,
 //! queue re-enable, scheduling pass, including passes that *start* jobs
 //! — the simulator performs **zero** heap allocations (placements of
-//! paper-scale jobs are stored inline in the job's state).
+//! paper-scale jobs are stored inline in the job's state). The
+//! placement kernels are held to the same contract on their own: a
+//! failed attempt allocates nothing at any width, and a fitting one of
+//! up to four components, whatever the request kind, neither.
 //!
 //! This is a single `#[test]` in its own integration-test binary on
 //! purpose: the counter is process-global, so concurrently running
@@ -13,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use coalloc_core::audit::NullObserver;
 use coalloc_core::job::{ActiveJob, JobId, JobTable, SubmitQueue};
-use coalloc_core::placement::PlacementRule;
+use coalloc_core::placement::{place_flexible, place_ordered, place_unordered, PlacementRule};
 use coalloc_core::policy::PolicyKind;
 use coalloc_core::system::{MultiCluster, SystemSpec};
 use coalloc_workload::{JobRequest, JobSpec, QueueRouting};
@@ -169,4 +172,24 @@ fn steady_state_event_cycle_is_allocation_free() {
     });
     assert_eq!(started, vec![waiting]);
     assert_eq!((a, f), (0, 0), "LS start pass must not touch the heap");
+
+    // ---- Placement kernels on their own ----
+    // A failed six-component attempt on eight clusters: wider than the
+    // inline storage, yet it writes no pairs and allocates nothing.
+    let idle = [32, 32, 32, 32, 32, 4, 4, 4];
+    let (p, a, f) =
+        counted(|| place_unordered(&idle, &[16, 16, 16, 16, 16, 16], PlacementRule::WorstFit));
+    assert!(p.is_none(), "the sixth component finds no cluster");
+    assert_eq!((a, f), (0, 0), "a failed wide attempt must not touch the heap");
+
+    // A fitting ordered placement of four components.
+    let (p, a, f) = counted(|| place_ordered(&idle, &[8, 8, 4, 4], &[0, 2, 5, 7]));
+    assert_eq!(p.expect("fits").assignments(), &[(0, 8), (2, 8), (5, 4), (7, 4)]);
+    assert_eq!((a, f), (0, 0), "a fitting ordered placement must not touch the heap");
+
+    // A fitting flexible placement split over four clusters.
+    let idle = [10, 30, 4, 20];
+    let (p, a, f) = counted(|| place_flexible(&idle, 62, PlacementRule::WorstFit));
+    assert_eq!(p.expect("fits").assignments(), &[(1, 30), (3, 20), (0, 10), (2, 2)]);
+    assert_eq!((a, f), (0, 0), "a fitting flexible placement must not touch the heap");
 }

@@ -129,7 +129,7 @@ pub fn table3_extended(scale: Scale) -> String {
                 &plan,
                 None,
             )
-            .expect("searches without a token never cancel");
+            .unwrap_or_else(|e| panic!("{e}"));
             let net = max / coalloc_workload::Workload::das(limit).gross_net_ratio();
             rows.push(vec![
                 format!("{} limit {limit}", policy.label()),

@@ -80,7 +80,7 @@ use std::time::Duration;
 use coalloc_core::experiment::{
     CancelReason, CancelToken, ResultStore, ScenarioCache, SweepConfig, SweepPoint, WorkerPool,
 };
-use coalloc_core::{bisect_max_utilization, CoallocError, ProbePlan};
+use coalloc_core::{bisect_max_utilization, BisectError, CoallocError, ProbePlan};
 
 use crate::experiments::Scale;
 use crate::scenario::ScenarioSpec;
@@ -438,10 +438,15 @@ fn handle_request(
                     send(tx, serde_json::to_string(&ev).expect("saturation result serializes"));
                     Ok(None)
                 }
-                Err(reason) => {
+                Err(BisectError::Cancelled(reason)) => {
                     lifecycle_event(tx, id, reason.label());
                     Ok(Some(reason))
                 }
+                Err(bracket) => Err(CoallocError::invalid(
+                    "lo/hi",
+                    &format!("{lo}..{hi}"),
+                    &format!("a bracket of the saturation point ({bracket})"),
+                )),
             }
         }
         other => Err(CoallocError::UnknownTarget {
@@ -714,8 +719,8 @@ mod tests {
     #[test]
     fn a_panicking_bisection_bracket_reports_and_the_daemon_survives() {
         let input = concat!(
-            // Both brackets stable: the bisection asserts, the handler
-            // catches, the daemon answers the next request.
+            // Both brackets stable: the bisection returns a typed error,
+            // the handler reports it, the daemon answers the next request.
             r#"{"id":"sat","kind":"saturation","policy":"GS","limit":16,"lo":0.05,"hi":0.1,"replications":1}"#,
             "\n",
             r#"{"id":"after","kind":"sweep","policy":"GS","limit":16,"utilizations":[0.2],"min_reps":1,"max_reps":1}"#,
@@ -728,7 +733,9 @@ mod tests {
             .find(|e| str_field(e, "event") == "error")
             .expect("bracket failure reported");
         assert_eq!(str_field(err, "id"), "sat");
-        assert!(str_field(err, "error").contains("still stable"));
+        let error = str_field(err, "error");
+        assert!(error.contains("still stable"), "{error}");
+        assert!(!error.contains("panicked"), "{error}");
         assert!(events
             .iter()
             .any(|e| str_field(e, "event") == "result" && str_field(e, "id") == "after"));
